@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "blink/blink/communicator.h"
+#include "blink/blink/multiserver.h"
+#include "blink/dnn/models.h"
 #include "blink/blink/plan_io.h"
 #include "blink/blink/treegen.h"
 #include "blink/graph/arborescence.h"
@@ -23,6 +25,7 @@
 #include "blink/sim/executor.h"
 #include "blink/blink/codegen.h"
 #include "blink/topology/builders.h"
+#include "blink/topology/zoo.h"
 
 namespace {
 
@@ -151,6 +154,30 @@ void BM_ExecutePlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecutePlan);
+
+// One grouped training step, as blinkbench's cluster_step runs it: VGG16's
+// gradient-bucket all-reduces launched as one group on a 16-GPU fat-tree
+// (2 racks x 2 servers x 4 GPUs, 5 GB/s NICs, 2:1 oversubscription). The
+// plans are compiled once; with memoization off every iteration re-runs
+// the fluid simulation of the whole group (warm lookups + execute_group).
+void BM_ExecuteGroup(benchmark::State& state) {
+  const auto cluster = topo::zoo::make_fat_tree_cluster(2, 2, 4, 5e9, 2.0);
+  ClusterOptions opts;
+  opts.fabric = cluster.fabric;
+  opts.engine.planner_threads = 1;
+  opts.engine.memoize = false;
+  ClusterCommunicator comm(cluster.servers, opts);
+  const dnn::ModelSpec model = dnn::vgg16();
+  std::vector<CollectiveRequest> step;
+  for (const double f : model.bucket_fractions) {
+    step.push_back({CollectiveKind::kAllReduce, model.param_bytes * f, -1, 0});
+    comm.compile(step.back().kind, step.back().bytes, step.back().root);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(comm.run(step));
+  }
+}
+BENCHMARK(BM_ExecuteGroup)->Unit(benchmark::kMillisecond);
 
 // Compiling against a warm persistent plan store: every shape is a cache
 // hit loaded from disk, never TreeGen/CodeGen.

@@ -42,8 +42,11 @@ inline constexpr std::uint32_t kPlanStoreMagic = 0x504b4c42u;
 /// per-component health fingerprints (one per server plus the NIC tier, with
 /// per-link health folded in) and records carry their channel footprint, so
 /// a warm load can skip exactly the plans a health event invalidated instead
-/// of rejecting the whole file.
-inline constexpr std::uint32_t kPlanStoreVersion = 4;
+/// of rejecting the whole file. v5: sim::max_min_rates fills each connected
+/// component of flows on its own, which moves some simulated makespans by a
+/// few ulps and can flip near-tie bake-off winners, so v4 plans are not
+/// reused.
+inline constexpr std::uint32_t kPlanStoreVersion = 5;
 
 /// Incremental FNV-1a (64-bit), the hasher behind fabric_fingerprint() and
 /// CollectiveBackend::planning_fingerprint(). Multi-byte values hash their

@@ -11,10 +11,14 @@
 /// pool so planner fan-out and request workers never starve each other.
 ///
 /// parallel_for never deadlocks under nesting: the calling thread claims
-/// iterations itself and, while waiting for its helper tasks, executes other
-/// queued tasks inline — so a parallel_for issued from inside a pool task
-/// (a bake-off inside a batched compile, say) always makes progress even
-/// when every worker is busy.
+/// iterations itself until none are left, then waits only for the helper
+/// tasks a worker has already started; helpers still queued at that point
+/// are retired unrun. A parallel_for issued from inside a pool task (a
+/// bake-off inside a batched compile, say) therefore always makes progress
+/// even when every worker is busy. The caller never runs unrelated queued
+/// tasks while it waits: one that runs inside a lock the caller holds (a
+/// tree-set slot's std::call_once, say) and picks up a sibling task needing
+/// the same lock would deadlock on itself.
 #pragma once
 
 #include <atomic>
@@ -78,15 +82,16 @@ class ThreadPool {
   /// Runs body(0) .. body(n-1), the calling thread participating alongside
   /// up to min(num_threads(), max_workers - 1) helper tasks (max_workers ==
   /// 0 means no cap beyond the pool size). Blocks until every iteration
-  /// finished; while waiting, the caller executes other queued tasks inline,
-  /// so nested calls cannot deadlock. The first exception any iteration
+  /// finished; the caller claims iterations until none are left and then
+  /// waits only for helpers already running, so nested calls cannot
+  /// deadlock. The first exception any iteration
   /// throws is rethrown here after remaining claims are cancelled; which
   /// iterations ran to completion in that case is unspecified.
   template <class F>
   void parallel_for(std::size_t n, F&& body, std::size_t max_workers = 0);
 
-  /// Holds the workers after their current task: queued tasks stay queued
-  /// (parallel_for callers still execute them inline while they wait).
+  /// Holds the workers after their current task: queued tasks stay queued.
+  /// A parallel_for issued meanwhile runs every iteration on its caller.
   void pause();
   /// Releases pause().
   void resume();
@@ -100,13 +105,11 @@ class ThreadPool {
     std::size_t n = 0;
     std::mutex mu;
     std::condition_variable cv;
-    std::size_t pending = 0;  // helper tasks not yet finished
+    std::size_t running = 0;  // helper tasks started and not yet finished
+    bool closed = false;      // the caller stopped waiting for new helpers
     std::exception_ptr error;
   };
 
-  // Pops and runs one queued task on the calling thread; false when the
-  // queue is empty. Ignores pause(): helping callers must keep draining.
-  bool try_run_one();
   void worker_loop();
 
   mutable std::mutex mu_;
@@ -145,33 +148,26 @@ void ThreadPool::parallel_for(std::size_t n, F&& body,
   };
 
   const std::size_t helpers = width - 1;
-  {
-    const std::lock_guard<std::mutex> lock(state->mu);
-    state->pending = helpers;
-  }
   for (std::size_t h = 0; h < helpers; ++h) {
     post([state, claim_loop] {
+      {
+        const std::lock_guard<std::mutex> lock(state->mu);
+        if (state->closed) return;  // the caller already finished the loop
+        ++state->running;
+      }
       claim_loop();
       const std::lock_guard<std::mutex> lock(state->mu);
-      if (--state->pending == 0) state->cv.notify_all();
+      if (--state->running == 0) state->cv.notify_all();
     });
   }
 
   claim_loop();
 
-  // Wait for the helpers — executing other queued tasks meanwhile, since on
-  // a saturated pool this call's own helpers (or a nested call's) may be
-  // queued behind the very task that issued it.
+  // Every iteration is claimed: close the call to helpers not yet started
+  // and wait for the running ones to finish their claimed iterations.
   std::unique_lock<std::mutex> lock(state->mu);
-  while (state->pending > 0) {
-    lock.unlock();
-    const bool ran = try_run_one();
-    lock.lock();
-    if (!ran && state->pending > 0) {
-      state->cv.wait_for(lock, std::chrono::microseconds(200),
-                         [&] { return state->pending == 0; });
-    }
-  }
+  state->closed = true;
+  state->cv.wait(lock, [&] { return state->running == 0; });
   if (state->error) std::rethrow_exception(state->error);
 }
 

@@ -5,8 +5,10 @@
 // byte-accounting against makespan, cluster NIC volume lower bounds,
 // plan-record round-trip bit-identity, compile determinism and plan-store
 // export/import warm hits, pipelined-never-slower, repair-equals-recompile
-// after random health events, and never-slower-than-flat single-tree
-// references.
+// after random health events, never-slower-than-flat single-tree
+// references, and the incremental simulator agreeing bit for bit with the
+// reference executor (sim-oracle: every checked plan plus one grouped launch
+// of all of a case's plans).
 //
 // Every case is reproducible from one 64-bit case seed: a failure's repro
 // line ("blink_fuzz --case 0x...") replays the fabric, payload, roots and

@@ -22,7 +22,16 @@ struct FlowSpec {
 
 // Computes max-min fair rates for |flows| over channels with the given
 // capacities (bytes/s). Returns one rate per flow; flows with empty routes
-// get an infinite rate. O(channels * flows) per fill step.
+// get an infinite rate.
+//
+// Progressive filling runs separately in each connected component of flows
+// (flows linked through shared channels): each component freezes its flows
+// at its own fill levels, flows in ascending index order within a step, so
+// a flow's rate depends only on its component and that component's order.
+// This is what lets the executor re-fill just the components an event
+// touches and still agree bit for bit. Each round costs
+// O(channels + flows * route length); a component needs at most one round
+// per distinct bottleneck level.
 std::vector<double> max_min_rates(std::span<const double> channel_capacity,
                                   std::span<const FlowSpec> flows);
 

@@ -1,5 +1,14 @@
 // Discrete-event execution of a Program on a Fabric under fluid max-min
 // bandwidth sharing.
+//
+// Rates are max-min fair per connected component of active flows (flows
+// linked through shared channels; see max_min_rates). The executor keeps a
+// per-channel list of active flows and, on each flow start or finish,
+// re-runs progressive filling only over the components containing a channel
+// the event touched: an event costs O(flows) for the clock advance plus
+// O(steps * (channels + flows * route length)) over the touched components
+// alone, instead of a fill over every active flow. Results are bit-identical
+// to reference_execute(), which re-fills everything on every event.
 #pragma once
 
 #include <span>
@@ -41,5 +50,14 @@ struct GroupRunResult {
 // makespan and an empty range.
 GroupRunResult execute_group(const Fabric& fabric,
                              std::span<const Program* const> programs);
+
+// The reference executor: the original event loop, re-running
+// max_min_rates over every active flow on each flow start or finish. Same
+// contract and bit-identical results as execute()/execute_group(), at a much
+// higher cost; kept as the test oracle for the incremental executor
+// (executor_test's differential suite, the fuzzer's sim-oracle invariant).
+RunResult reference_execute(const Fabric& fabric, const Program& program);
+GroupRunResult reference_execute_group(const Fabric& fabric,
+                                       std::span<const Program* const> programs);
 
 }  // namespace blink::sim

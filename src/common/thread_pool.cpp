@@ -56,18 +56,6 @@ void ThreadPool::post(std::function<void()> task) {
   cv_.notify_one();
 }
 
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  return true;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

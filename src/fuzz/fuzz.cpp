@@ -98,6 +98,51 @@ std::vector<Shape> enumerate_shapes(const CollectiveEngine& engine,
   return shapes;
 }
 
+// --- simulator oracle ---------------------------------------------------------
+
+bool same_bits(const sim::RunResult& a, const sim::RunResult& b) {
+  return a.makespan == b.makespan && a.op_start == b.op_start &&
+         a.op_finish == b.op_finish && a.channel_bytes == b.channel_bytes;
+}
+
+// The incremental executor must reproduce the reference executor (a full
+// max-min re-fill on every event) bit for bit. |got| is execute()'s or
+// execute_group()'s result, |want| the reference's.
+void check_sim_oracle(CaseContext& ctx, const std::string& label,
+                      const sim::RunResult& got, sim::RunResult want) {
+  ++ctx.report->executions;
+  if (ctx.inject("sim-oracle")) {
+    // Injection: the reference finishes one ulp later.
+    want.makespan = std::nextafter(want.makespan, 1.0e300);
+  }
+  if (!same_bits(got, want)) {
+    ctx.fail("sim-oracle", label + ": incremental makespan " +
+                               fmt("%.17g", got.makespan) +
+                               " vs reference " + fmt("%.17g", want.makespan) +
+                               " (or per-op times / channel bytes differ)");
+  }
+}
+
+// One grouped launch of every compiled plan, checked against the reference.
+void check_group_oracle(
+    CaseContext& ctx, const sim::Fabric& fabric,
+    const std::vector<std::shared_ptr<const CollectivePlan>>& plans) {
+  std::vector<const sim::Program*> programs;
+  for (const auto& plan : plans) programs.push_back(&plan->program());
+  if (programs.empty()) return;
+  try {
+    const auto got = sim::execute_group(fabric, programs);
+    const auto want = sim::reference_execute_group(fabric, programs);
+    ++ctx.report->executions;
+    check_sim_oracle(ctx,
+                     "grouped launch of " + std::to_string(programs.size()) +
+                         " plans",
+                     got.run, want.run);
+  } catch (const std::exception& e) {
+    ctx.fail("sim-oracle", std::string("grouped launch threw: ") + e.what());
+  }
+}
+
 // --- per-plan invariants -----------------------------------------------------
 
 // Executes |plan| and checks the invariants every compiled plan must hold:
@@ -114,6 +159,8 @@ CollectiveResult check_plan(CaseContext& ctx, CollectiveEngine& engine,
   const CollectiveResult r = engine.execute(plan);
   const sim::RunResult run = sim::execute(engine.fabric(), plan.program());
   ctx.report->executions += 2;
+  check_sim_oracle(ctx, label, run,
+                   sim::reference_execute(engine.fabric(), plan.program()));
 
   if (!(r.seconds > 0.0) || !std::isfinite(r.seconds) ||
       !(r.algorithm_bw > 0.0) || r.num_ops <= 0) {
@@ -529,9 +576,11 @@ void run_single_server_case(CaseContext& ctx, Rng& rng,
 
   const int root = rng.next_int(0, server.num_gpus - 1);
   const std::vector<Shape> shapes = enumerate_shapes(comm, bytes, root);
+  std::vector<std::shared_ptr<const CollectivePlan>> plans;
   for (const Shape& s : shapes) {
     try {
       const auto plan = comm.compile(s.kind, s.bytes, s.root, s.backend);
+      plans.push_back(plan);
       check_plan(ctx, comm, *plan);
       // Broadcast moves each payload byte to every receiver exactly once,
       // whatever the route: total copy volume is (n - 1) * bytes. (Ring and
@@ -553,6 +602,7 @@ void run_single_server_case(CaseContext& ctx, Rng& rng,
                               "fabric: " + e.what());
     }
   }
+  check_group_oracle(ctx, comm.fabric(), plans);
 
   if (rotation == 0) {
     Communicator fresh(server, copts);
@@ -619,10 +669,11 @@ void run_cluster_case(CaseContext& ctx, Rng& rng,
   const int root = rng.next_int(0, comm.num_gpus() - 1);
   const int root_server = server_of_global_gpu(rf.servers, root);
   const std::vector<Shape> shapes = enumerate_shapes(comm, bytes, root);
-
+  std::vector<std::shared_ptr<const CollectivePlan>> plans;
   for (const Shape& s : shapes) {
     try {
       const auto plan = comm.compile(s.kind, s.bytes, s.root, s.backend);
+      plans.push_back(plan);
       const CollectiveResult r = check_plan(ctx, comm, *plan);
       const double scale = ctx.inject("nic-bound") ? 16.0 : 1.0;
       const double bound =
@@ -640,6 +691,7 @@ void run_cluster_case(CaseContext& ctx, Rng& rng,
                               "fabric: " + e.what());
     }
   }
+  check_group_oracle(ctx, comm.fabric(), plans);
 
   if (rotation == 0) {
     ClusterCommunicator fresh(rf.servers, cluster_options(rf));
@@ -809,7 +861,7 @@ const std::vector<std::string>& injectable_invariants() {
   static const std::vector<std::string> kNames = {
       "capacity",  "tree-capacity", "round-trip",
       "nic-bound", "pipeline",      "planning-bound",
-      "repair",    "flat-reference"};
+      "repair",    "flat-reference", "sim-oracle"};
   return kNames;
 }
 

@@ -1,5 +1,6 @@
 #include "blink/sim/engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -22,6 +23,32 @@ std::vector<double> max_min_rates(std::span<const double> channel_capacity,
     }
   }
 
+  // Connected components: flows linked through shared channels. Each one is
+  // filled on its own, with its own fill level, so the freeze tolerance
+  // never couples flows that share nothing (and an incremental simulator
+  // that re-fills only the components an event touched agrees bit for bit).
+  std::vector<int> parent(num_channels);
+  for (std::size_t c = 0; c < num_channels; ++c) parent[c] = static_cast<int>(c);
+  auto find = [&](int c) {
+    while (parent[static_cast<std::size_t>(c)] != c) {
+      auto& p = parent[static_cast<std::size_t>(c)];
+      p = parent[static_cast<std::size_t>(p)];
+      c = p;
+    }
+    return c;
+  };
+  for (const auto& f : flows) {
+    for (const int c : f.route) {
+      const int a = find(f.route.front());
+      const int b = find(c);
+      if (a != b) parent[static_cast<std::size_t>(b)] = a;
+    }
+  }
+  std::vector<int> component(num_channels);
+  for (std::size_t c = 0; c < num_channels; ++c) {
+    component[c] = find(static_cast<int>(c));
+  }
+
   std::size_t flows_left = 0;
   for (std::size_t i = 0; i < num_flows; ++i) {
     if (flows[i].route.empty()) {
@@ -31,37 +58,45 @@ std::vector<double> max_min_rates(std::span<const double> channel_capacity,
     }
   }
 
-  // Progressive filling: repeatedly saturate the channel offering the
-  // smallest fair share and freeze the flows crossing it.
+  // Progressive filling, per component: repeatedly saturate the channel
+  // offering the smallest fair share and freeze the flows crossing it.
+  // Components are independent, so advancing all of them one step per round
+  // is the same as filling each to completion in turn.
+  std::vector<double> fill(num_channels);
   while (flows_left > 0) {
-    double fill = kInf;
+    std::fill(fill.begin(), fill.end(), kInf);
     for (std::size_t c = 0; c < num_channels; ++c) {
       if (unset_on[c] > 0) {
-        fill = std::min(fill, remaining[c] / unset_on[c]);
+        auto& level = fill[static_cast<std::size_t>(component[c])];
+        level = std::min(level, remaining[c] / unset_on[c]);
       }
     }
-    assert(fill < kInf && "unset flows must cross some channel");
-    fill = std::max(fill, 0.0);
 
     bool froze_any = false;
     for (std::size_t i = 0; i < num_flows; ++i) {
       if (rate[i] >= 0.0) continue;
+      const double level = std::max(
+          fill[static_cast<std::size_t>(component[static_cast<std::size_t>(
+              flows[i].route.front())])],
+          0.0);
+      assert(level < kInf && "unset flows must cross some channel");
       bool bottlenecked = false;
       for (const int c : flows[i].route) {
         const auto cu = static_cast<std::size_t>(c);
         // Channels whose fair share equals the fill level saturate now.
-        if (remaining[cu] - fill * unset_on[cu] <= 1e-9 * remaining[cu] + 1e-6) {
+        if (remaining[cu] - level * unset_on[cu] <=
+            1e-9 * remaining[cu] + 1e-6) {
           bottlenecked = true;
           break;
         }
       }
       if (!bottlenecked) continue;
-      rate[i] = fill;
+      rate[i] = level;
       froze_any = true;
       --flows_left;
       for (const int c : flows[i].route) {
         const auto cu = static_cast<std::size_t>(c);
-        remaining[cu] -= fill;
+        remaining[cu] -= level;
         if (remaining[cu] < 0.0) remaining[cu] = 0.0;
         --unset_on[cu];
       }

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "blink/common/rng.h"
 #include "blink/sim/executor.h"
 #include "blink/topology/builders.h"
+#include "blink/topology/zoo.h"
 
 namespace blink::sim {
 namespace {
@@ -296,6 +303,113 @@ TEST(Executor, GroupWithEmptyMember) {
   const auto group = execute_group(f, members);
   EXPECT_NEAR(group.makespan[0], 1.0, 1e-9);
   EXPECT_DOUBLE_EQ(group.makespan[1], 0.0);
+}
+
+// --- differential: incremental executor vs the reference ---------------------
+
+// A random schedule over |fabric|: ops on a few streams with random
+// cross-stream deps, routes of 1-4 distinct channels, payloads drawn from a
+// small set (so flows tie on rates and finish times), zero-byte ops,
+// route-less zero-byte copies, latency-only delays and launch latencies.
+Program random_program(Rng& rng, const Fabric& fabric, int num_ops) {
+  Program p;
+  const int streams = rng.next_int(1, 6);
+  for (int s = 0; s < streams; ++s) p.new_stream();
+  const double payloads[] = {0.0, 1.0e6, 1.0e6, 2.0e6, 4.0e6, 3.3e6};
+  const double latencies[] = {0.0, 0.0, 2.0e-6, 1.0e-5};
+  for (int i = 0; i < num_ops; ++i) {
+    Op op;
+    op.stream = rng.next_int(0, streams - 1);
+    op.latency = latencies[rng.next_below(4)];
+    const int shape = rng.next_int(0, 9);
+    if (shape == 0) {
+      op.kind = OpKind::kDelay;
+      op.latency = 1.0e-6 + 1.0e-5 * rng.next_double();
+    } else if (shape == 1) {
+      op.kind = OpKind::kCopy;  // route-less, zero bytes
+    } else {
+      op.kind = shape == 2 ? OpKind::kReduce : OpKind::kCopy;
+      const int hops = rng.next_int(1, std::min(4, fabric.num_channels()));
+      while (static_cast<int>(op.route.size()) < hops) {
+        const int c = rng.next_int(0, fabric.num_channels() - 1);
+        if (std::find(op.route.begin(), op.route.end(), c) == op.route.end()) {
+          op.route.push_back(c);
+        }
+      }
+      op.bytes = payloads[rng.next_below(6)];
+    }
+    const int deps = i == 0 ? 0 : rng.next_int(0, 2);
+    for (int d = 0; d < deps; ++d) op.deps.push_back(rng.next_int(0, i - 1));
+    p.add(std::move(op));
+  }
+  return p;
+}
+
+void expect_bit_identical(const RunResult& a, const RunResult& b,
+                          const std::string& where) {
+  EXPECT_EQ(a.makespan, b.makespan) << where;
+  EXPECT_EQ(a.op_start, b.op_start) << where;
+  EXPECT_EQ(a.op_finish, b.op_finish) << where;
+  EXPECT_EQ(a.channel_bytes, b.channel_bytes) << where;
+}
+
+TEST(Executor, MatchesReferenceOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    const auto rf = topo::zoo::make_random_fabric(seed);
+    FabricParams params = rf.fabric;
+    if (seed % 5 == 0) params.event_sync_latency = 0.0;  // same-instant release
+    Fabric fabric(rf.servers, params);
+    Rng rng(seed * 7919);
+    if (seed % 3 == 0) {
+      // Degraded channels: uneven capacities inside a component.
+      for (int k = 0; k < 3; ++k) {
+        fabric.degrade_link(rng.next_int(0, fabric.num_channels() - 1),
+                            0.1 + 0.8 * rng.next_double());
+      }
+    }
+    const std::string where = "seed " + std::to_string(seed);
+
+    const Program solo = random_program(rng, fabric, rng.next_int(1, 120));
+    expect_bit_identical(execute(fabric, solo),
+                         reference_execute(fabric, solo), where);
+
+    std::vector<Program> members;
+    const int count = rng.next_int(2, 4);
+    for (int m = 0; m < count; ++m) {
+      members.push_back(random_program(rng, fabric, rng.next_int(0, 60)));
+    }
+    std::vector<const Program*> ptrs;
+    for (const Program& m : members) ptrs.push_back(&m);
+    const GroupRunResult got = execute_group(fabric, ptrs);
+    const GroupRunResult want = reference_execute_group(fabric, ptrs);
+    expect_bit_identical(got.run, want.run, where + " (group)");
+    EXPECT_EQ(got.makespan, want.makespan) << where;
+    EXPECT_EQ(got.ops, want.ops) << where;
+  }
+}
+
+TEST(Executor, RejectsLikeReference) {
+  const Fabric f = chain_fabric(2);
+  Program bad;
+  Op op;
+  op.kind = OpKind::kDelay;
+  op.route = f.nvlink_route(0, 0, 1);  // delays must not use channels
+  op.stream = bad.new_stream();
+  bad.add(op);
+  EXPECT_THROW(execute(f, bad), std::logic_error);
+  EXPECT_THROW(reference_execute(f, bad), std::logic_error);
+
+  Fabric failed = chain_fabric(2);
+  Program stale;
+  Op copy;
+  copy.route = failed.nvlink_route(0, 0, 1);
+  copy.bytes = 1.0e6;
+  copy.stream = stale.new_stream();
+  stale.add(copy);
+  failed.fail_link(copy.route.front());
+  const std::vector<const Program*> members{&stale};
+  EXPECT_THROW(execute_group(failed, members), std::runtime_error);
+  EXPECT_THROW(reference_execute_group(failed, members), std::runtime_error);
 }
 
 }  // namespace

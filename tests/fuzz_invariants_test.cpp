@@ -79,8 +79,9 @@ TEST(FuzzInvariants, WorkerCountDoesNotChangeTheReport) {
 // the same case replays without the injection — proving failures are a
 // property of the (seed, options) pair and nothing else.
 TEST(FuzzInvariants, InjectedViolationReproducesFromSeedLine) {
-  for (const std::string& invariant : {std::string("tree-capacity"),
-                                       std::string("nic-bound")}) {
+  for (const std::string& invariant :
+       {std::string("tree-capacity"), std::string("nic-bound"),
+        std::string("sim-oracle")}) {
     FuzzOptions inject;
     inject.workers = 1;
     inject.inject = invariant;

@@ -16,8 +16,10 @@
 #include "blink/baselines/backends.h"
 #include "blink/blink/communicator.h"
 #include "blink/blink/engine.h"
+#include "blink/blink/multiserver.h"
 #include "blink/blink/plan_io.h"
 #include "blink/common/single_flight.h"
+#include "blink/common/thread_pool.h"
 #include "blink/topology/builders.h"
 
 namespace blink {
@@ -226,6 +228,76 @@ TEST(ParallelPlanning, AutoBakeOffPicksTheSameBackendAtAnyWidth) {
     serialize_program(a->program(), &sa);
     serialize_program(b->program(), &sb);
     EXPECT_EQ(sa, sb) << bytes;
+  }
+}
+
+// Regression: at planner width 2, repair_plans() recompiles affected plans
+// in a parallel_for whose iterations share tree-set slots (one per root).
+// A thread inside a slot's std::call_once used to wait in TreeGen's nested
+// parallel_for by running other queued tasks, picked up a sibling recompile
+// needing the same slot and blocked on the once_flag it already held. The
+// race needs the repair's helper task to still be queued at that moment, so
+// half the rounds park every worker of the shared pool first, which makes
+// the old interleaving certain. ctest's TIMEOUT on this executable turns a
+// hang into a failure.
+TEST(ParallelPlanning, RepairAtWidthTwoDoesNotDeadlock) {
+  common::ThreadPool& pool = common::ThreadPool::shared();
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> parked{0};
+  std::atomic<std::size_t> unparked{0};
+  const auto unpark = [&] {
+    release.store(true);
+    while (unparked.load() < parked.load()) std::this_thread::yield();
+  };
+  struct Unpark {
+    const decltype(unpark)& fn;
+    ~Unpark() { fn(); }
+  } unpark_on_exit{unpark};
+  for (int round = 0; round < 4; ++round) {
+    if (round % 2 == 0) {
+      release.store(false);
+      const std::size_t target = parked.load() + pool.num_threads();
+      for (std::size_t w = 0; w < pool.num_threads(); ++w) {
+        pool.post([&] {
+          parked.fetch_add(1);
+          while (!release.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          unparked.fetch_add(1);
+        });
+      }
+      while (parked.load() < target) std::this_thread::yield();
+    }
+
+    // Two DGX-1V servers: every cluster plan draws on per-(server, root)
+    // tree-set slots, and several shapes per root make sibling recompiles
+    // share them.
+    ClusterOptions opts;
+    opts.engine.planner_threads = 2;
+    const auto machine = topo::make_dgx1v();
+    ClusterCommunicator comm({machine, machine}, opts);
+    for (int k = 1; k <= 4; ++k) {
+      comm.compile(CollectiveKind::kAllReduce, 4e6 * k);
+      for (const int root : {0, 3, 9, 14}) {
+        comm.compile(CollectiveKind::kBroadcast, 4e6 * k, root);
+        comm.compile(CollectiveKind::kReduce, 4e6 * k, root);
+      }
+    }
+    const int channel = comm.fabric().nvlink_route(0, 0, 1)[0];
+    for (int i = 0; i < 4; ++i) {
+      sim::HealthEvent event;
+      if (i % 2 == 0) {
+        event.kind = sim::HealthEventKind::kDegradeLink;
+        event.channel = channel;
+        event.factor = 0.5;
+      } else {
+        event.kind = sim::HealthEventKind::kRestoreAll;
+      }
+      const RepairReport report = comm.repair_plans(event);
+      EXPECT_GT(report.retained + report.dropped, 0u);
+    }
+    EXPECT_GT(comm.broadcast(8e6, 3).seconds, 0.0);
+    unpark();
   }
 }
 

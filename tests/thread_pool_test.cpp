@@ -75,7 +75,8 @@ TEST(ThreadPool, ParallelForPropagatesException) {
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
   // One worker: the outer loop's helper occupies it, so the inner loops can
-  // only finish because waiting callers execute queued tasks inline.
+  // only finish because each caller claims every iteration its helpers did
+  // not start and then waits only for helpers already running.
   ThreadPool pool(1);
   std::atomic<int> inner_total{0};
   pool.parallel_for(4, [&](std::size_t) {
