@@ -6,9 +6,11 @@
 // plan-record round-trip bit-identity, compile determinism and plan-store
 // export/import warm hits, pipelined-never-slower, repair-equals-recompile
 // after random health events, never-slower-than-flat single-tree
-// references, and the incremental simulator agreeing bit for bit with the
+// references, the incremental simulator agreeing bit for bit with the
 // reference executor (sim-oracle: every checked plan plus one grouped launch
-// of all of a case's plans).
+// of all of a case's plans), and mwu_pack agreeing bit for bit with the
+// reference MWU loop over the reference arborescence solver (treegen-oracle:
+// one tree set's planning graph per case).
 //
 // Every case is reproducible from one 64-bit case seed: a failure's repro
 // line ("blink_fuzz --case 0x...") replays the fabric, payload, roots and
@@ -38,9 +40,9 @@ struct FuzzOptions {
   /// under test is untouched: replaying a case without the injection must
   /// come back clean. Empty disables injection.
   std::string inject;
-  /// Concurrent cases across the shared thread pool; 0 = hardware default,
-  /// 1 = serial. Pure speed knob: per-case results depend only on the case
-  /// seed.
+  /// Concurrent cases across the shared thread pool; 0 (or less) = the
+  /// pool's default width, common::ThreadPool::default_threads(); 1 =
+  /// serial. Pure speed knob: per-case results depend only on the case seed.
   int workers = 0;
 };
 

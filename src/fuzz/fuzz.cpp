@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -140,6 +141,52 @@ void check_group_oracle(
                      got.run, want.run);
   } catch (const std::exception& e) {
     ctx.fail("sim-oracle", std::string("grouped launch threw: ") + e.what());
+  }
+}
+
+// --- TreeGen oracle -----------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_bits(const packing::MwuResult& a, const packing::MwuResult& b) {
+  if (a.iterations != b.iterations || !same_bits(a.total_rate, b.total_rate) ||
+      a.trees.size() != b.trees.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.trees.size(); ++i) {
+    if (a.trees[i].tree.root != b.trees[i].tree.root ||
+        a.trees[i].tree.edge_ids != b.trees[i].tree.edge_ids ||
+        !same_bits(a.trees[i].weight, b.trees[i].weight)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// mwu_pack over the flat arborescence solver must reproduce the reference
+// MWU loop over the reference solver bit for bit: trees in the same order
+// with the same edge ids and weights, total rate and iteration count.
+void check_treegen_oracle(CaseContext& ctx, const std::string& label,
+                          const graph::DiGraph& g, int root) {
+  packing::MwuOptions options;
+  options.epsilon = TreeGenOptions{}.mwu_epsilon;
+  const packing::MwuResult got = packing::mwu_pack(g, root, options);
+  packing::MwuResult want = packing::reference_mwu_pack(g, root, options);
+  if (ctx.inject("treegen-oracle")) {
+    // Injection: the reference packs one ulp more bandwidth.
+    want.total_rate = std::nextafter(want.total_rate, 1.0e300);
+  }
+  if (!same_bits(got, want)) {
+    ctx.fail("treegen-oracle",
+             label + ": mwu_pack gave " + std::to_string(got.trees.size()) +
+                 " trees at rate " + fmt("%.17g", got.total_rate) + " in " +
+                 std::to_string(got.iterations) + " iterations, the "
+                 "reference " + std::to_string(want.trees.size()) +
+                 " trees at rate " + fmt("%.17g", want.total_rate) + " in " +
+                 std::to_string(want.iterations) +
+                 " (or tree edges / weights differ)");
   }
 }
 
@@ -603,6 +650,11 @@ void run_single_server_case(CaseContext& ctx, Rng& rng,
     }
   }
   check_group_oracle(ctx, comm.fabric(), plans);
+  {
+    const TreeSet& set = comm.tree_set(root);
+    check_treegen_oracle(ctx, "tree set of root " + std::to_string(root),
+                         set.graph, set.root);
+  }
 
   if (rotation == 0) {
     Communicator fresh(server, copts);
@@ -692,6 +744,23 @@ void run_cluster_case(CaseContext& ctx, Rng& rng,
     }
   }
   check_group_oracle(ctx, comm.fabric(), plans);
+  {
+    // The root server's undirected-capacity planning graph, as its
+    // all-reduce tree sets pack it (PCIe when NVLink does not reach).
+    const topo::Topology& server =
+        rf.servers[static_cast<std::size_t>(root_server)];
+    int local_root = root;
+    for (int s = 0; s < root_server; ++s) {
+      local_root -= rf.servers[static_cast<std::size_t>(s)].num_gpus;
+    }
+    graph::DiGraph g = graph::nvlink_digraph(server, /*undirected=*/true);
+    if (g.num_edges() == 0 || !g.reachable_from(local_root)) {
+      g = graph::pcie_digraph(server);
+    }
+    check_treegen_oracle(ctx, "server " + std::to_string(root_server) +
+                                  " root " + std::to_string(local_root),
+                         g, local_root);
+  }
 
   if (rotation == 0) {
     ClusterCommunicator fresh(rf.servers, cluster_options(rf));
@@ -835,8 +904,12 @@ void run_case(std::uint64_t case_seed, const FuzzOptions& options,
 FuzzReport run(std::uint64_t seed, std::size_t iters,
                const FuzzOptions& options) {
   std::vector<FuzzReport> partial(iters);
-  common::parallel_for(iters,
-                       static_cast<std::size_t>(std::max(0, options.workers)),
+  // common::parallel_for runs serially at width <= 1, so the default
+  // (workers = 0) resolves to the pool's width here.
+  const std::size_t width =
+      options.workers > 0 ? static_cast<std::size_t>(options.workers)
+                          : common::ThreadPool::default_threads();
+  common::parallel_for(iters, width,
                        [&](std::size_t i) {
                          run_case(case_seed(seed, i), options, &partial[i]);
                        });
@@ -861,7 +934,8 @@ const std::vector<std::string>& injectable_invariants() {
   static const std::vector<std::string> kNames = {
       "capacity",  "tree-capacity", "round-trip",
       "nic-bound", "pipeline",      "planning-bound",
-      "repair",    "flat-reference", "sim-oracle"};
+      "repair",    "flat-reference", "sim-oracle",
+      "treegen-oracle"};
   return kNames;
 }
 

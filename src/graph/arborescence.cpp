@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
+#include <cstddef>
+#include <memory>
 
 namespace blink::graph {
 
@@ -54,153 +55,202 @@ bool Arborescence::spans(const DiGraph& g) const {
 
 namespace {
 
-struct WorkEdge {
-  int u;
-  int v;
-  double w;
-  int parent_index;  // index into the previous contraction level's edge list
-};
+template <typename T>
+T* grown(std::vector<T>& v, std::size_t size) {
+  if (v.size() < size) v.resize(size);
+  return v.data();
+}
 
 }  // namespace
 
-// The solver's per-contraction-level scratch. One Level per recursion depth;
-// a deque keeps references stable while deeper levels are appended
-// mid-recursion. assign()/clear() below overwrite every slot they read, so
-// stale contents from a previous solve never leak into a result.
+// The solver's scratch. Nodes 0..n-1 are the graph's vertices; each cycle
+// the chosen in-edges close is contracted into a new node n, n+1, ... whose
+// children are the cycle's nodes, so a solve uses at most 2n-1 nodes. Every
+// table is flat and only grows; each slot a solve reads was written earlier
+// in the same solve.
 struct ArborescenceWorkspace::Impl {
-  struct Level {
-    std::vector<int> best;               // per-vertex cheapest in-edge index
-    std::vector<int> comp;               // per-vertex contraction component
-    std::vector<int> mark;               // cycle-walk visit marks
-    std::vector<std::vector<int>> cycles;
-    std::vector<WorkEdge> contracted;    // edge list fed to the next level
-    std::vector<int> result;             // picked indices into this level's edges
-    std::vector<int> entered;            // per-cycle entry vertex
-  };
+  enum : signed char { kUnseen = 0, kOnPath = 1, kSettled = 2 };
 
-  std::vector<WorkEdge> es;  // top-level edge list
-  std::deque<Level> levels;
+  // Per edge id: the weight after the subtractions of every cycle its head
+  // has been contracted into so far.
+  std::vector<double> w;
+  // Per node.
+  std::vector<int> link;         // union-find link toward the current node
+  std::vector<int> parent;       // node it was contracted into, -1 if none
+  std::vector<int> best;         // chosen in-edge (edge id)
+  std::vector<double> best_w;    // its weight when chosen
+  std::vector<int> in_begin;     // in-edges from other nodes:
+  std::vector<int> in_end;       //   in_edges[in_begin, in_end)
+  std::vector<int> kid_begin;    // a contracted node's cycle:
+  std::vector<int> kid_end;      //   kids[kid_begin, kid_end)
+  std::vector<signed char> state;
+  std::vector<int> chosen;       // expansion: the node's in-edge in the tree
+  // Lists, back to back.
+  std::vector<int> in_edges;
+  std::vector<int> kids;
+  std::vector<int> path;  // the walk in progress
 
-  Level& level(std::size_t depth) {
-    while (levels.size() <= depth) levels.emplace_back();
-    return levels[depth];
+  // The current (outermost) node containing node |x|.
+  int find(int x) {
+    int* l = link.data();
+    while (l[x] != x) {
+      l[x] = l[l[x]];
+      x = l[x];
+    }
+    return x;
   }
 
-  // One level of Chu-Liu/Edmonds: fills the level's result with indices
-  // into |es| forming a minimum arborescence of the current (possibly
-  // contracted) graph, returning a pointer to it, or nullptr when some
-  // vertex is unreachable.
-  const std::vector<int>* solve(std::size_t depth, int n, int root,
-                                const std::vector<WorkEdge>& es);
+  bool solve(const DiGraph& g, int root, std::span<const double> cost,
+             std::vector<int>& edge_ids);
+  // Contracts the walk's nodes from |entry| to the end of the path into new
+  // node |t| and chooses t's in-edge. False when no edge enters the cycle.
+  bool contract(const DiGraph& g, int t, int entry);
 };
 
-const std::vector<int>* ArborescenceWorkspace::Impl::solve(
-    std::size_t depth, int n, int root, const std::vector<WorkEdge>& es) {
-  auto& lv = level(depth);
-  auto& best = lv.best;
-  best.assign(static_cast<std::size_t>(n), -1);
-  for (int i = 0; i < static_cast<int>(es.size()); ++i) {
-    const auto& e = es[static_cast<std::size_t>(i)];
-    if (e.v == root || e.u == e.v) continue;
-    const auto vi = static_cast<std::size_t>(e.v);
-    if (best[vi] == -1 || e.w < es[static_cast<std::size_t>(best[vi])].w) {
-      best[vi] = i;
-    }
-  }
-  for (int v = 0; v < n; ++v) {
-    if (v != root && best[static_cast<std::size_t>(v)] == -1) {
-      return nullptr;  // v unreachable
-    }
-  }
+bool ArborescenceWorkspace::Impl::contract(const DiGraph& g, int t,
+                                           int entry) {
+  link[static_cast<std::size_t>(t)] = t;
+  parent[static_cast<std::size_t>(t)] = -1;
+  kid_begin[static_cast<std::size_t>(t)] = static_cast<int>(kids.size());
+  int x = -1;
+  do {
+    x = path.back();
+    path.pop_back();
+    kids.push_back(x);
+    link[static_cast<std::size_t>(x)] = t;
+    parent[static_cast<std::size_t>(x)] = t;
+  } while (x != entry);
+  kid_end[static_cast<std::size_t>(t)] = static_cast<int>(kids.size());
 
-  // Detect cycles in the functional graph v -> best-in-edge source.
-  auto& comp = lv.comp;
-  auto& mark = lv.mark;
-  auto& cycles = lv.cycles;
-  comp.assign(static_cast<std::size_t>(n), -1);
-  mark.assign(static_cast<std::size_t>(n), -1);
-  cycles.clear();
-  for (int v = 0; v < n; ++v) {
-    if (v == root) continue;
-    int u = v;
-    while (u != root && mark[static_cast<std::size_t>(u)] == -1 &&
-           comp[static_cast<std::size_t>(u)] == -1) {
-      mark[static_cast<std::size_t>(u)] = v;
-      u = es[static_cast<std::size_t>(best[static_cast<std::size_t>(u)])].u;
-    }
-    if (u != root && comp[static_cast<std::size_t>(u)] == -1 &&
-        mark[static_cast<std::size_t>(u)] == v) {
-      // New cycle through u.
-      std::vector<int> cyc;
-      int x = u;
-      do {
-        cyc.push_back(x);
-        comp[static_cast<std::size_t>(x)] = static_cast<int>(cycles.size());
-        x = es[static_cast<std::size_t>(best[static_cast<std::size_t>(x)])].u;
-      } while (x != u);
-      cycles.push_back(std::move(cyc));
-    }
-  }
-
-  auto& result = lv.result;
-  if (cycles.empty()) {
-    result.clear();
-    result.reserve(static_cast<std::size_t>(n - 1));
-    for (int v = 0; v < n; ++v) {
-      if (v != root) result.push_back(best[static_cast<std::size_t>(v)]);
-    }
-    return &result;
-  }
-
-  // Contract every cycle into a supervertex.
-  int next_id = static_cast<int>(cycles.size());
-  for (int v = 0; v < n; ++v) {
-    if (comp[static_cast<std::size_t>(v)] == -1) {
-      comp[static_cast<std::size_t>(v)] = next_id++;
-    }
-  }
-  auto& contracted = lv.contracted;
-  contracted.clear();
-  contracted.reserve(es.size());
-  for (int i = 0; i < static_cast<int>(es.size()); ++i) {
-    const auto& e = es[static_cast<std::size_t>(i)];
-    const int cu = comp[static_cast<std::size_t>(e.u)];
-    const int cv = comp[static_cast<std::size_t>(e.v)];
-    if (cu == cv) continue;
-    double w = e.w;
-    if (cv < static_cast<int>(cycles.size())) {
-      // Entering a cycle: swapping out the cycle's chosen in-edge of e.v.
-      w -= es[static_cast<std::size_t>(best[static_cast<std::size_t>(e.v)])].w;
-    }
-    contracted.push_back({cu, cv, w, i});
-  }
-
-  const auto* sub = solve(depth + 1, next_id,
-                          comp[static_cast<std::size_t>(root)], contracted);
-  if (sub == nullptr) return nullptr;
-
-  // Expand: selected contracted edges map to their original edges; each
-  // cycle keeps all of its chosen in-edges except at the vertex where the
-  // selected entering edge lands.
-  result.clear();
-  auto& entered = lv.entered;  // vertex where each cycle is entered
-  entered.assign(cycles.size(), -1);
-  for (const int ci : *sub) {
-    const int orig = contracted[static_cast<std::size_t>(ci)].parent_index;
-    result.push_back(orig);
-    const int v = es[static_cast<std::size_t>(orig)].v;
-    const int c = comp[static_cast<std::size_t>(v)];
-    if (c < static_cast<int>(cycles.size())) entered[static_cast<std::size_t>(c)] = v;
-  }
-  for (std::size_t c = 0; c < cycles.size(); ++c) {
-    assert(entered[c] != -1 && "contracted solution must enter every cycle");
-    for (const int x : cycles[c]) {
-      if (x != entered[c]) {
-        result.push_back(best[static_cast<std::size_t>(x)]);
+  // An edge entering the cycle at node c now stands for swapping out c's
+  // chosen in-edge: its weight drops by that edge's. Edges from inside the
+  // cycle are dropped.
+  in_begin[static_cast<std::size_t>(t)] = static_cast<int>(in_edges.size());
+  int b = -1;
+  double bw = 0.0;
+  for (int k = kid_begin[static_cast<std::size_t>(t)];
+       k < kid_end[static_cast<std::size_t>(t)]; ++k) {
+    const auto c = static_cast<std::size_t>(kids[static_cast<std::size_t>(k)]);
+    const double a = best_w[c];
+    for (int i = in_begin[c]; i < in_end[c]; ++i) {
+      const int id = in_edges[static_cast<std::size_t>(i)];
+      if (find(g.edge(id).src) == t) continue;
+      const double wi = w[static_cast<std::size_t>(id)] - a;
+      w[static_cast<std::size_t>(id)] = wi;
+      in_edges.push_back(id);
+      if (b < 0 || wi < bw || (wi == bw && id < b)) {
+        b = id;
+        bw = wi;
       }
     }
   }
-  return &result;
+  in_end[static_cast<std::size_t>(t)] = static_cast<int>(in_edges.size());
+  best[static_cast<std::size_t>(t)] = b;
+  best_w[static_cast<std::size_t>(t)] = bw;
+  return b >= 0;
+}
+
+// Chu-Liu/Edmonds with the reference solver's tie-breaks. A node chooses
+// its least-weight in-edge, the least edge id among equals: the reference's
+// first strict minimum, since its edge lists keep edge-id order at every
+// level. Where the reference contracts all of a level's cycles at once,
+// this solver walks the chosen in-edges and contracts each cycle as soon as
+// the walk closes it. The result is the same edge set: contracting a cycle
+// changes only the new node's in-edge weights and choice, so every other
+// cycle persists unchanged, and two contractions commute (they subtract
+// from disjoint edges, and a new node's choice, a minimum over the same
+// edges with the same weights, does not depend on which other cycles are
+// already contracted). Every order thus reaches the same nested cycles,
+// each edge's weight dropping by the same subtractions, inner to outer.
+bool ArborescenceWorkspace::Impl::solve(const DiGraph& g, int root,
+                                        std::span<const double> cost,
+                                        std::vector<int>& edge_ids) {
+  edge_ids.clear();
+  const int n = g.num_vertices();
+  if (n == 1) return true;
+  const auto nodes = static_cast<std::size_t>(2 * n - 1);
+  for (auto* v : {&link, &parent, &best, &in_begin, &in_end, &kid_begin,
+                  &kid_end, &chosen}) {
+    grown(*v, nodes);
+  }
+  grown(best_w, nodes);
+  grown(state, nodes);
+  std::copy(cost.begin(), cost.end(),
+            grown(w, static_cast<std::size_t>(g.num_edges())));
+  in_edges.clear();
+  kids.clear();
+
+  // Every vertex but the root chooses among its in-edges (edge-id order),
+  // self-loops aside.
+  for (int v = 0; v < n; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    link[vi] = v;
+    parent[vi] = -1;
+    state[vi] = kUnseen;
+    if (v == root) continue;
+    in_begin[vi] = static_cast<int>(in_edges.size());
+    int b = -1;
+    for (const int id : g.in_edges(v)) {
+      if (g.edge(id).src == v) continue;
+      assert(cost[static_cast<std::size_t>(id)] >= 0.0);
+      in_edges.push_back(id);
+      if (b < 0 || w[static_cast<std::size_t>(id)] < best_w[vi]) {
+        b = id;
+        best_w[vi] = w[static_cast<std::size_t>(id)];
+      }
+    }
+    in_end[vi] = static_cast<int>(in_edges.size());
+    if (b < 0) return false;  // v unreachable
+    best[vi] = b;
+  }
+  state[static_cast<std::size_t>(root)] = kSettled;
+
+  // Walk from every vertex along the chosen in-edges, backwards, until the
+  // walk reaches a settled node (one whose choices lead to the root). A walk
+  // that meets its own path has closed a cycle: contract it and continue
+  // from the new node.
+  int next = n;
+  for (int v = 0; v < n; ++v) {
+    path.clear();
+    int x = find(v);
+    while (state[static_cast<std::size_t>(x)] != kSettled) {
+      if (state[static_cast<std::size_t>(x)] == kOnPath) {
+        const int t = next++;
+        if (!contract(g, t, x)) return false;  // nothing enters the cycle
+        state[static_cast<std::size_t>(t)] = kOnPath;
+        path.push_back(t);
+      } else {
+        state[static_cast<std::size_t>(x)] = kOnPath;
+        path.push_back(x);
+      }
+      x = find(g.edge(best[static_cast<std::size_t>(path.back())]).src);
+    }
+    for (const int p : path) state[static_cast<std::size_t>(p)] = kSettled;
+  }
+
+  // Expand, outermost nodes first: an uncontracted node keeps its chosen
+  // in-edge; inside a contracted node, the child the node's in-edge lands
+  // in takes that edge and every other child keeps its own choice.
+  for (int t = next - 1; t >= 0; --t) {
+    if (t == root) continue;
+    const auto ti = static_cast<std::size_t>(t);
+    if (parent[ti] < 0) chosen[ti] = best[ti];
+    const int e = chosen[ti];
+    if (t < n) {
+      edge_ids.push_back(e);
+      continue;
+    }
+    int entered = g.edge(e).dst;
+    while (parent[static_cast<std::size_t>(entered)] != t) {
+      entered = parent[static_cast<std::size_t>(entered)];
+    }
+    for (int k = kid_begin[ti]; k < kid_end[ti]; ++k) {
+      const auto c = static_cast<std::size_t>(kids[static_cast<std::size_t>(k)]);
+      chosen[c] = static_cast<int>(c) == entered ? e : best[c];
+    }
+  }
+  std::sort(edge_ids.begin(), edge_ids.end());
+  return true;
 }
 
 ArborescenceWorkspace::ArborescenceWorkspace() : impl_(new Impl) {}
@@ -210,43 +260,28 @@ ArborescenceWorkspace::ArborescenceWorkspace(ArborescenceWorkspace&&) noexcept =
 ArborescenceWorkspace& ArborescenceWorkspace::operator=(
     ArborescenceWorkspace&&) noexcept = default;
 
-std::optional<Arborescence> min_cost_arborescence(
-    const DiGraph& g, int root, std::span<const double> cost,
-    ArborescenceWorkspace* workspace) {
+bool min_cost_arborescence(const DiGraph& g, int root,
+                           std::span<const double> cost,
+                           ArborescenceWorkspace& workspace,
+                           std::vector<int>& edge_ids) {
   assert(static_cast<int>(cost.size()) == g.num_edges());
   assert(root >= 0 && root < g.num_vertices());
-  if (g.num_vertices() == 1) return Arborescence{root, {}};
-
-  std::optional<ArborescenceWorkspace> local;
-  if (workspace == nullptr || workspace->impl_ == nullptr) {
-    workspace = &local.emplace();
+  if (workspace.impl_ == nullptr) {
+    workspace.impl_ = std::make_unique<ArborescenceWorkspace::Impl>();
   }
-  ArborescenceWorkspace::Impl& ws = *workspace->impl_;
-
-  ws.es.clear();
-  ws.es.reserve(static_cast<std::size_t>(g.num_edges()));
-  for (int id = 0; id < g.num_edges(); ++id) {
-    const auto& e = g.edge(id);
-    assert(cost[static_cast<std::size_t>(id)] >= 0.0);
-    ws.es.push_back({e.src, e.dst, cost[static_cast<std::size_t>(id)], id});
-  }
-  const auto* picked = ws.solve(0, g.num_vertices(), root, ws.es);
-  if (picked == nullptr) return std::nullopt;
-
-  Arborescence arb;
-  arb.root = root;
-  arb.edge_ids.reserve(picked->size());
-  for (const int i : *picked) {
-    arb.edge_ids.push_back(ws.es[static_cast<std::size_t>(i)].parent_index);
-  }
-  std::sort(arb.edge_ids.begin(), arb.edge_ids.end());
-  assert(arb.spans(g));
-  return arb;
+  return workspace.impl_->solve(g, root, cost, edge_ids);
 }
 
 std::optional<Arborescence> min_cost_arborescence(
     const DiGraph& g, int root, std::span<const double> cost) {
-  return min_cost_arborescence(g, root, cost, nullptr);
+  ArborescenceWorkspace workspace;
+  Arborescence arb;
+  arb.root = root;
+  if (!min_cost_arborescence(g, root, cost, workspace, arb.edge_ids)) {
+    return std::nullopt;
+  }
+  assert(arb.spans(g));
+  return arb;
 }
 
 }  // namespace blink::graph

@@ -7,28 +7,6 @@
 #include "blink/packing/packing.h"
 
 namespace blink::packing {
-namespace {
-
-// Merge trees with identical edge sets, summing their weights.
-std::vector<WeightedTree> deduplicate(std::vector<WeightedTree> trees) {
-  std::map<std::vector<int>, WeightedTree> by_edges;
-  for (auto& wt : trees) {
-    auto key = wt.tree.edge_ids;  // already sorted by min_cost_arborescence
-    auto [it, inserted] = by_edges.try_emplace(std::move(key), wt);
-    if (!inserted) it->second.weight += wt.weight;
-  }
-  std::vector<WeightedTree> out;
-  out.reserve(by_edges.size());
-  for (auto& [key, wt] : by_edges) out.push_back(std::move(wt));
-  // Heaviest first: downstream consumers (chunk splitting) like stable order.
-  std::sort(out.begin(), out.end(),
-            [](const WeightedTree& a, const WeightedTree& b) {
-              return a.weight > b.weight;
-            });
-  return out;
-}
-
-}  // namespace
 
 MwuResult mwu_pack(const graph::DiGraph& g, int root,
                    const MwuOptions& options) {
@@ -50,50 +28,65 @@ MwuResult mwu_pack(const graph::DiGraph& g, int root,
     length[static_cast<std::size_t>(grp)] =
         delta / caps[static_cast<std::size_t>(grp)];
   }
+  // Garg-Konemann scaling makes the accumulated weights feasible. Each
+  // iteration's bottleneck / scale is summed into its tree as it comes, in
+  // iteration order.
+  const double scale = std::log((1.0 + eps) / delta) / std::log(1.0 + eps);
 
-  std::vector<WeightedTree> raw;
+  // The distinct trees so far, in lexicographic order of their edge lists,
+  // with their weights. Looking a repeat up copies nothing.
+  std::map<std::vector<int>, double> weight_of;
   int iterations = 0;
   std::vector<double> edge_length(static_cast<std::size_t>(g.num_edges()));
-  // One workspace across every iteration: the arborescence solver recycles
-  // its contraction-level scratch instead of reallocating it per solve (the
-  // loop runs up to max_iterations solves over the same graph).
+  std::vector<int> tree;
+  // One workspace and one tree buffer across every iteration: the solves
+  // (up to max_iterations over the same graph) allocate nothing.
   graph::ArborescenceWorkspace workspace;
   while (iterations < options.max_iterations) {
     for (int e = 0; e < g.num_edges(); ++e) {
       edge_length[static_cast<std::size_t>(e)] =
           length[static_cast<std::size_t>(g.edge(e).group)];
     }
-    auto arb = min_cost_arborescence(g, root, edge_length, &workspace);
-    assert(arb.has_value());  // reachability checked above
+    const bool spanned =
+        graph::min_cost_arborescence(g, root, edge_length, workspace, tree);
+    assert(spanned);  // reachability checked above
+    (void)spanned;
     double tree_length = 0.0;
     double bottleneck = std::numeric_limits<double>::infinity();
-    for (const int e : arb->edge_ids) {
+    for (const int e : tree) {
       const auto grp = static_cast<std::size_t>(g.edge(e).group);
       tree_length += length[grp];
       bottleneck = std::min(bottleneck, caps[grp]);
     }
     if (tree_length >= 1.0) break;
     ++iterations;
-    raw.push_back({*arb, bottleneck});
-    for (const int e : arb->edge_ids) {
+    if (const auto it = weight_of.find(tree); it != weight_of.end()) {
+      it->second += bottleneck / scale;
+    } else {
+      weight_of.emplace(tree, bottleneck / scale);
+    }
+    for (const int e : tree) {
       const auto grp = static_cast<std::size_t>(g.edge(e).group);
       length[grp] *= 1.0 + eps * bottleneck / caps[grp];
     }
   }
   result.iterations = iterations;
 
-  // Garg-Konemann scaling makes the accumulated weights feasible.
-  const double scale = std::log((1.0 + eps) / delta) / std::log(1.0 + eps);
-  for (auto& wt : raw) wt.weight /= scale;
-
-  if (options.deduplicate) raw = deduplicate(std::move(raw));
-  if (options.tighten && !raw.empty()) {
-    const double f = tighten_factor(g, raw);
-    for (auto& wt : raw) wt.weight *= f;
+  for (const auto& [edges, weight] : weight_of) {
+    result.trees.push_back({graph::Arborescence{root, edges}, weight});
   }
-  assert(respects_capacities(g, raw));
+  // Heaviest first: downstream consumers (chunk splitting) like stable order.
+  std::sort(result.trees.begin(), result.trees.end(),
+            [](const WeightedTree& a, const WeightedTree& b) {
+              return a.weight > b.weight;
+            });
+  // Tighten: rescale to the exact feasibility boundary.
+  if (!result.trees.empty()) {
+    const double f = tighten_factor(g, result.trees);
+    for (auto& wt : result.trees) wt.weight *= f;
+  }
+  assert(respects_capacities(g, result.trees));
 
-  result.trees = std::move(raw);
   for (const auto& wt : result.trees) result.total_rate += wt.weight;
   return result;
 }

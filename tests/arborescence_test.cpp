@@ -147,5 +147,82 @@ TEST(Arborescence, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
+// The flat solver against the original recursive one on seeded random
+// multigraphs built to stress the tie-breaks: small-integer and zero costs
+// (ties everywhere), near-equal non-integer costs (ties made by rounded
+// subtraction), parallel edges, sparse graphs with unreachable vertices, and
+// every root. One workspace serves every solve, so stale
+// scratch from a larger graph must never leak into a smaller one.
+TEST(Arborescence, MatchesReferenceOnRandomMultigraphs) {
+  Rng rng(20261020);
+  ArborescenceWorkspace workspace;
+  std::vector<int> edge_ids;
+  int solves = 0;
+  int spanning = 0;
+  int unreachable = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const int n = rng.next_int(1, 10);
+    const double density = rng.next_double();
+    const int cost_kind = rng.next_int(0, 3);
+    DiGraph g(n);
+    std::vector<double> cost;
+    for (int u = 0; u < n; ++u) {
+      for (int v = 0; v < n; ++v) {
+        if (u == v || rng.next_double() > density) continue;
+        const int copies = rng.next_double() < 0.3 ? rng.next_int(2, 3) : 1;
+        for (int c = 0; c < copies; ++c) {
+          g.add_edge(u, v, 1e9);
+          switch (cost_kind) {
+            case 0: cost.push_back(rng.next_int(0, 2)); break;
+            case 1: cost.push_back(rng.next_int(0, 20)); break;
+            case 2: cost.push_back(1.0 + 0.1 * rng.next_int(0, 4)); break;
+            default: cost.push_back(1.0 + 1e-3 * rng.next_double()); break;
+          }
+        }
+      }
+    }
+    for (int root = 0; root < n; ++root) {
+      ++solves;
+      const auto want = reference_min_cost_arborescence(g, root, cost);
+      const auto got = min_cost_arborescence(g, root, cost);
+      const bool solved =
+          min_cost_arborescence(g, root, cost, workspace, edge_ids);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "trial " << trial << " root " << root;
+      ASSERT_EQ(solved, want.has_value())
+          << "trial " << trial << " root " << root;
+      if (!want) {
+        ++unreachable;
+        continue;
+      }
+      ++spanning;
+      EXPECT_EQ(got->root, root);
+      EXPECT_EQ(got->edge_ids, want->edge_ids)
+          << "trial " << trial << " root " << root;
+      EXPECT_EQ(edge_ids, want->edge_ids)
+          << "trial " << trial << " root " << root << " (workspace)";
+    }
+  }
+  // The corpus must exercise both outcomes, at the promised size.
+  EXPECT_GE(solves, 1000);
+  EXPECT_GT(spanning, 500);
+  EXPECT_GT(unreachable, 100);
+}
+
+TEST(Arborescence, MovedFromWorkspaceStillSolves) {
+  DiGraph g(3);
+  g.add_edge(0, 1, 1e9);
+  g.add_edge(1, 2, 1e9);
+  g.add_edge(0, 2, 1e9);
+  const std::vector<double> cost{1.0, 1.0, 5.0};
+  ArborescenceWorkspace a;
+  ArborescenceWorkspace b(std::move(a));
+  std::vector<int> ids;
+  ASSERT_TRUE(min_cost_arborescence(g, 0, cost, a, ids));  // a: moved from
+  EXPECT_EQ(ids, (std::vector<int>{0, 1}));
+  ASSERT_TRUE(min_cost_arborescence(g, 0, cost, b, ids));
+  EXPECT_EQ(ids, (std::vector<int>{0, 1}));
+}
+
 }  // namespace
 }  // namespace blink::graph

@@ -60,18 +60,31 @@ TEST(FuzzInvariants, CaseSeedsAreStable) {
 }
 
 TEST(FuzzInvariants, WorkerCountDoesNotChangeTheReport) {
+  // Fanned out (4 workers, or 0: the pool's default width) the report must
+  // be the serial one, counters and failures alike. The injection gives the
+  // cases failures to compare.
   FuzzOptions serial;
   serial.workers = 1;
-  FuzzOptions fanned;
-  fanned.workers = 4;
+  serial.inject = "treegen-oracle";
   const FuzzReport a = run(kCorpusSeed, 8, serial);
-  const FuzzReport b = run(kCorpusSeed, 8, fanned);
-  EXPECT_EQ(a.cases, b.cases);
-  EXPECT_EQ(a.single_server_cases, b.single_server_cases);
-  EXPECT_EQ(a.multi_server_cases, b.multi_server_cases);
-  EXPECT_EQ(a.plans, b.plans);
-  EXPECT_EQ(a.executions, b.executions);
-  EXPECT_EQ(a.failures.size(), b.failures.size());
+  EXPECT_FALSE(a.failures.empty());
+  for (const int workers : {4, 0}) {
+    FuzzOptions fanned = serial;
+    fanned.workers = workers;
+    const FuzzReport b = run(kCorpusSeed, 8, fanned);
+    EXPECT_EQ(a.cases, b.cases) << workers;
+    EXPECT_EQ(a.single_server_cases, b.single_server_cases) << workers;
+    EXPECT_EQ(a.multi_server_cases, b.multi_server_cases) << workers;
+    EXPECT_EQ(a.plans, b.plans) << workers;
+    EXPECT_EQ(a.executions, b.executions) << workers;
+    ASSERT_EQ(a.failures.size(), b.failures.size()) << workers;
+    for (std::size_t i = 0; i < a.failures.size(); ++i) {
+      EXPECT_EQ(a.failures[i].case_seed, b.failures[i].case_seed) << workers;
+      EXPECT_EQ(a.failures[i].invariant, b.failures[i].invariant) << workers;
+      EXPECT_EQ(a.failures[i].detail, b.failures[i].detail) << workers;
+      EXPECT_EQ(a.failures[i].repro, b.failures[i].repro) << workers;
+    }
+  }
 }
 
 // An injected violation must (a) be caught, (b) carry a repro line naming
@@ -81,7 +94,7 @@ TEST(FuzzInvariants, WorkerCountDoesNotChangeTheReport) {
 TEST(FuzzInvariants, InjectedViolationReproducesFromSeedLine) {
   for (const std::string& invariant :
        {std::string("tree-capacity"), std::string("nic-bound"),
-        std::string("sim-oracle")}) {
+        std::string("sim-oracle"), std::string("treegen-oracle")}) {
     FuzzOptions inject;
     inject.workers = 1;
     inject.inject = invariant;

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "blink/common/rng.h"
 #include "blink/packing/packing.h"
 #include "blink/topology/builders.h"
 #include "blink/topology/binning.h"
 #include "blink/topology/discovery.h"
+#include "blink/topology/zoo.h"
 
 namespace blink::packing {
 namespace {
@@ -68,6 +75,80 @@ TEST(Mwu, EpsilonTradesTreeCountForAccuracy) {
   const auto coarse_result = mwu_pack(g, 0, coarse);
   const auto fine_result = mwu_pack(g, 0, fine);
   EXPECT_LT(coarse_result.iterations, fine_result.iterations);
+}
+
+void expect_same_bits(const MwuResult& got, const MwuResult& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_rate),
+            std::bit_cast<std::uint64_t>(want.total_rate))
+      << where;
+  ASSERT_EQ(got.trees.size(), want.trees.size()) << where;
+  for (std::size_t i = 0; i < got.trees.size(); ++i) {
+    EXPECT_EQ(got.trees[i].tree.root, want.trees[i].tree.root) << where;
+    EXPECT_EQ(got.trees[i].tree.edge_ids, want.trees[i].tree.edge_ids)
+        << where << " tree " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.trees[i].weight),
+              std::bit_cast<std::uint64_t>(want.trees[i].weight))
+        << where << " tree " << i;
+  }
+}
+
+// mwu_pack (flat solver, online merging) against the original loop over the
+// reference solver, bit for bit, on the NVLink planning graph of every zoo
+// shape in both capacity models (per-direction and undirected), from the
+// first and last GPU. NVSwitch machines enter as 2/4/8-GPU boxes and DGX-2
+// fragments: the whole 16-GPU DGX-2 would take minutes in sanitizer builds.
+TEST(Mwu, MatchesReferenceOnZooShapes) {
+  std::vector<topo::Topology> shapes = {topo::make_dgx1p(), topo::make_dgx1v(),
+                                        topo::make_clique(5),
+                                        topo::make_chain(4)};
+  for (const int k : {2, 4, 8}) shapes.push_back(topo::zoo::make_nvswitch_box(k));
+  for (const auto& server :
+       topo::zoo::make_fat_tree_cluster(2, 2, 4, 5e9, 2.0).servers) {
+    shapes.push_back(server);
+  }
+  for (const int k : {3, 5, 6}) {
+    for (const auto& server :
+         topo::zoo::make_mixed_fleet({topo::ServerKind::kDGX1P,
+                                      topo::ServerKind::kDGX1V,
+                                      topo::ServerKind::kDGX2},
+                                     5e9, k)
+             .servers) {
+      shapes.push_back(server);
+    }
+  }
+  Rng rng(15);
+  for (const double density : {0.0, 0.4, 1.0}) {
+    topo::zoo::RandomTopologyParams params;
+    params.num_gpus = 6;
+    params.link_density = density;
+    params.max_lanes = 3;
+    shapes.push_back(topo::zoo::make_random_topology(params, rng));
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const auto& server : topo::zoo::make_random_fabric(seed).servers) {
+      shapes.push_back(server);
+    }
+  }
+
+  int packed = 0;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const auto& topo = shapes[s];
+    for (const bool undirected : {false, true}) {
+      const auto g = graph::nvlink_digraph(topo, undirected);
+      for (const int root : {0, topo.num_gpus - 1}) {
+        const std::string where = "shape " + std::to_string(s) + " (" +
+                                  topo.name + ") undirected=" +
+                                  std::to_string(undirected) + " root " +
+                                  std::to_string(root);
+        const auto got = mwu_pack(g, root);
+        expect_same_bits(got, reference_mwu_pack(g, root), where);
+        packed += got.trees.empty() ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(packed, 40);  // most shapes are NVLink-connected
 }
 
 TEST(Minimize, Dgx1vReducesToSixUnitTrees) {

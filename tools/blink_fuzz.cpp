@@ -36,7 +36,8 @@ void usage(const char* argv0) {
   }
   std::fprintf(stderr,
                "\n"
-               "  --workers N      concurrent cases (0 = hardware default)\n"
+               "  --workers N      concurrent cases (0 = BLINK_PLANNER_THREADS,\n"
+               "                   else the core count)\n"
                "  --max-servers N  fabric size ceiling (default %d)\n"
                "  --max-gpus N     per-server GPU ceiling (default %d)\n"
                "  --min-bytes B    payload floor in bytes (default %.0f)\n"
